@@ -1,5 +1,6 @@
 #include "rt/item_lock.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -9,15 +10,19 @@ LockManager::LockManager(std::size_t items) { grow(items); }
 
 void LockManager::grow(std::size_t items) {
   if (items <= size_) return;
-  auto fresh = std::make_unique<Padded<std::atomic<std::uint32_t>>[]>(items);
-  for (std::size_t i = 0; i < size_; ++i) {
-    fresh[i].value.store(owners_[i].value.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
+  if (items > capacity_) {
+    const std::size_t cap = std::max(items, 2 * capacity_);
+    auto fresh = std::make_unique<std::atomic<std::uint32_t>[]>(cap);
+    for (std::size_t i = 0; i < size_; ++i) {
+      fresh[i].store(owners_[i].load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    }
+    for (std::size_t i = size_; i < cap; ++i) {
+      fresh[i].store(kFree, std::memory_order_relaxed);
+    }
+    owners_ = std::move(fresh);
+    capacity_ = cap;
   }
-  for (std::size_t i = size_; i < items; ++i) {
-    fresh[i].value.store(kFree, std::memory_order_relaxed);
-  }
-  owners_ = std::move(fresh);
   size_ = items;
 }
 
@@ -25,7 +30,7 @@ bool LockManager::try_acquire(std::uint32_t item, std::uint32_t iter) {
   if (item >= size_) {
     throw std::out_of_range("LockManager::try_acquire: unknown item");
   }
-  auto& owner = owners_[item].value;
+  auto& owner = owners_[item];
   std::uint32_t expected = kFree;
   if (owner.compare_exchange_strong(expected, iter,
                                     std::memory_order_acq_rel,
@@ -43,14 +48,14 @@ std::uint32_t LockManager::owner(std::uint32_t item) const {
   if (item >= size_) {
     throw std::out_of_range("LockManager::owner: unknown item");
   }
-  return owners_[item].value.load(std::memory_order_acquire);
+  return owners_[item].load(std::memory_order_acquire);
 }
 
 void LockManager::release(std::uint32_t item, std::uint32_t iter) {
   if (item >= size_) {
     throw std::out_of_range("LockManager::release: unknown item");
   }
-  auto& owner = owners_[item].value;
+  auto& owner = owners_[item];
   assert(owner.load(std::memory_order_relaxed) == iter &&
          "releasing an item not owned by this iteration");
   (void)iter;
@@ -60,14 +65,14 @@ void LockManager::release(std::uint32_t item, std::uint32_t iter) {
 std::size_t LockManager::owned_count() const {
   std::size_t owned = 0;
   for (std::size_t i = 0; i < size_; ++i) {
-    if (owners_[i].value.load(std::memory_order_acquire) != kFree) ++owned;
+    if (owners_[i].load(std::memory_order_acquire) != kFree) ++owned;
   }
   return owned;
 }
 
 bool LockManager::all_free() const {
   for (std::size_t i = 0; i < size_; ++i) {
-    if (owners_[i].value.load(std::memory_order_acquire) != kFree) {
+    if (owners_[i].load(std::memory_order_acquire) != kFree) {
       return false;
     }
   }

@@ -3,8 +3,9 @@
 // is registered under an item id; the first iteration to acquire an item
 // owns it for the round, and any later iteration that needs it aborts
 // itself (abort-self arbitration: deadlock-free because no task ever
-// waits). Owners are cache-line padded to avoid false sharing between
-// concurrently acquiring threads.
+// waits). Owners are packed 4 bytes apiece (DESIGN.md §7, "Lock table"):
+// padding each to its own cache line measured no faster end to end and
+// made every table 16x larger.
 #pragma once
 
 #include <atomic>
@@ -12,8 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
-
-#include "support/padded.hpp"
 
 namespace optipar {
 
@@ -24,6 +23,10 @@ class LockManager {
   explicit LockManager(std::size_t items);
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Allocated slots (>= size()). Growth reallocates only past this, to
+  /// at least double it, so N single-item grows cost O(N) in total.
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Grow to cover at least `items` items. NOT safe concurrently with
   /// acquire/release; the executor only grows between rounds.
@@ -51,7 +54,7 @@ class LockManager {
     if (item >= size_) {
       throw std::out_of_range("LockManager::try_acquire: unknown item");
     }
-    auto& owner = owners_[item].value;
+    auto& owner = owners_[item];
     const std::uint32_t cur = owner.load(std::memory_order_relaxed);
     if (cur == kFree) {
       owner.store(iter, std::memory_order_relaxed);
@@ -68,7 +71,7 @@ class LockManager {
     if (item >= size_) {
       throw std::out_of_range("LockManager::release: unknown item");
     }
-    auto& owner = owners_[item].value;
+    auto& owner = owners_[item];
     assert(owner.load(std::memory_order_relaxed) == iter &&
            "releasing an item not owned by this iteration");
     (void)iter;
@@ -92,11 +95,14 @@ class LockManager {
   }
 
  private:
-  // Atomics are neither copyable nor movable, so growth re-creates the
-  // array and copies the raw values — safe because grow() is only legal
-  // between rounds, when no acquire/release is in flight.
-  std::unique_ptr<Padded<std::atomic<std::uint32_t>>[]> owners_;
+  // Atomics are neither copyable nor movable, so reallocation re-creates
+  // the array and copies the raw values — safe because grow() is only legal
+  // between rounds, when no acquire/release is in flight. Slots in
+  // [size_, capacity_) are kFree from allocation on and never touched until
+  // a grow() brings them into range.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> owners_;
   std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
   std::atomic<std::uint64_t>* contention_ = nullptr;  // non-owning
 };
 

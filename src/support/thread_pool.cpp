@@ -1,6 +1,7 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 namespace optipar {
@@ -18,11 +19,21 @@ struct ForkDepthGuard {
   ~ForkDepthGuard() noexcept { --tl_fork_depth; }
 };
 
+std::atomic<detail::PoolObserveHook> g_observe_hook{nullptr};
+
 }  // namespace
+
+void detail::set_pool_observe_hook(PoolObserveHook hook) noexcept {
+  g_observe_hook.store(hook, std::memory_order_relaxed);
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    threads = std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                      kMaxWorkers);
+  }
+  if (threads > kMaxWorkers) {
+    throw std::invalid_argument("ThreadPool: more than kMaxWorkers workers");
   }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
@@ -65,16 +76,19 @@ void ThreadPool::record_error() noexcept {
 
 void ThreadPool::worker_loop(std::size_t id) {
   tl_worker_pool = this;
-  std::uint64_t seen_epoch = 0;
+  std::uint64_t seen_word = 0;
   for (;;) {
     // 1) A fork-join job published since we last looked? The acquire load
-    //    pairs with the dispatcher's release bump and publishes job_fn_ /
-    //    job_worker_lanes_. A worker can observe at most one outstanding
-    //    job: the next dispatch cannot start until this one fully joins.
-    const std::uint64_t epoch = job_epoch_.load(std::memory_order_acquire);
-    if (epoch != seen_epoch) {
-      seen_epoch = epoch;
-      if (id < job_worker_lanes_) {
+    //    pairs with the dispatcher's release store and publishes job_fn_.
+    //    The lane count comes from the same word, so whether this worker
+    //    takes part is decided for exactly the job it observed.
+    const std::uint64_t word = job_word_.load(std::memory_order_acquire);
+    if (word != seen_word) {
+      seen_word = word;
+      if (const auto hook = g_observe_hook.load(std::memory_order_relaxed)) {
+        hook(id);
+      }
+      if (id < (word & kLaneMask)) {
         {
           const ForkDepthGuard nested;
           try {
@@ -83,7 +97,10 @@ void ThreadPool::worker_loop(std::size_t id) {
             record_error();
           }
         }
-        if (job_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        const std::size_t remaining =
+            job_remaining_.fetch_sub(1, std::memory_order_acq_rel);
+        assert(remaining > 0 && "fork-join lane arrived after the join");
+        if (remaining == 1) {
           // Last lane out: wake the dispatcher. Taking the mutex (empty
           // critical section) closes the race with a dispatcher that is
           // between its predicate check and its wait.
@@ -99,9 +116,9 @@ void ThreadPool::worker_loop(std::size_t id) {
       std::unique_lock lock(wake_mutex_);
       wake_cv_.wait(lock, [&] {
         return stopping_ || !tasks_.empty() ||
-               job_epoch_.load(std::memory_order_relaxed) != seen_epoch;
+               job_word_.load(std::memory_order_relaxed) != seen_word;
       });
-      if (job_epoch_.load(std::memory_order_relaxed) != seen_epoch) {
+      if (job_word_.load(std::memory_order_relaxed) != seen_word) {
         continue;  // re-read with acquire at the top of the loop
       }
       if (!tasks_.empty()) {
@@ -142,8 +159,10 @@ void ThreadPool::fork_join(std::size_t participants, const WorkFnRef& fn) {
   {
     const std::lock_guard lock(wake_mutex_);
     job_fn_ = &fn;
-    job_worker_lanes_ = worker_lanes;
-    job_epoch_.fetch_add(1, std::memory_order_release);
+    const std::uint64_t epoch =
+        (job_word_.load(std::memory_order_relaxed) >> kLaneBits) + 1;
+    job_word_.store((epoch << kLaneBits) | worker_lanes,
+                    std::memory_order_release);
   }
   wake_cv_.notify_all();
 

@@ -10,11 +10,11 @@
 //    completion and exception transport. Unchanged classic pool.
 //  * parallel_for() / run_on_workers() — the FORK-JOIN path. The dispatching
 //    thread broadcasts one type-erased callable to every resident worker by
-//    bumping an epoch counter; workers run their lane and decrement an
-//    arrival counter the dispatcher joins on. No per-call allocation, no
-//    std::function copies, no packaged_task/future pairs — the
-//    round-synchronous executor dispatches thousands of rounds per second
-//    through this path.
+//    publishing a new job word (epoch and lane count packed together);
+//    workers run their lane and decrement an arrival counter the dispatcher
+//    joins on. No per-call allocation, no std::function copies, no
+//    packaged_task/future pairs — the round-synchronous executor dispatches
+//    thousands of rounds per second through this path.
 //
 // Nesting: a fork-join entry point invoked from inside a worker lane (or
 // re-entrantly from the dispatching thread) degrades to serial inline
@@ -63,9 +63,24 @@ class WorkFnRef {
   void (*call_)(void*, std::size_t);
 };
 
+namespace detail {
+/// Test seam, not an option: when set, every pool worker calls
+/// hook(worker_id) right after it observes a newly published fork-join job
+/// and before it decides whether to run a lane. Race tests install a delay
+/// here to widen that window on purpose. Unset (the default), it costs one
+/// relaxed load per observed job. Set it only while no pool is running.
+using PoolObserveHook = void (*)(std::size_t worker);
+void set_pool_observe_hook(PoolObserveHook hook) noexcept;
+}  // namespace detail
+
 class ThreadPool {
  public:
+  /// Most workers one pool can hold: the lane count of a fork-join job
+  /// shares one atomic word with its epoch.
+  static constexpr std::size_t kMaxWorkers = 0xFFFF;
+
   /// Spawns `threads` workers (>= 1). Defaults to hardware concurrency.
+  /// Throws std::invalid_argument above kMaxWorkers.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -116,12 +131,17 @@ class ThreadPool {
   bool stopping_ = false;
 
   // --- fork-join broadcast state ------------------------------------------
-  // job_fn_ / job_worker_lanes_ are written by the dispatcher under
-  // wake_mutex_ before the release bump of job_epoch_; workers read them
-  // after an acquire load of job_epoch_ (publication via the epoch).
+  // job_word_ = (epoch << kLaneBits) | worker lanes. Packing both into one
+  // word gives a worker a consistent snapshot from a single acquire load: a
+  // worker that sits out job E never pairs E's epoch with E+1's lane count.
+  // job_fn_ is written by the dispatcher before the release store of
+  // job_word_ and read only by a lane of that job, which the job cannot
+  // join without — so it cannot be overwritten while a lane may read it.
+  static constexpr unsigned kLaneBits = 16;
+  static constexpr std::uint64_t kLaneMask = kMaxWorkers;
+  static_assert(kLaneMask == (std::uint64_t{1} << kLaneBits) - 1);
   const WorkFnRef* job_fn_ = nullptr;
-  std::size_t job_worker_lanes_ = 0;
-  alignas(64) std::atomic<std::uint64_t> job_epoch_{0};
+  alignas(64) std::atomic<std::uint64_t> job_word_{0};
   alignas(64) std::atomic<std::size_t> job_remaining_{0};
   std::exception_ptr job_error_;  // first lane exception (error_mutex_)
   std::mutex error_mutex_;

@@ -63,6 +63,51 @@ TEST(LockManager, GrowPreservesOwnersAndFreesNewSlots) {
   EXPECT_EQ(lm.size(), 10u);
 }
 
+TEST(LockManager, SingleItemGrowsKeepOwnersAndReallocateLogarithmically) {
+  // DMR grows the table by a few items before every round; each grow must
+  // not copy the whole table.
+  constexpr std::uint32_t kN = 10000;
+  LockManager lm(0);
+  std::size_t reallocations = 0;
+  std::size_t last_capacity = lm.capacity();
+  for (std::uint32_t item = 0; item < kN; ++item) {
+    lm.grow(item + 1);
+    ASSERT_EQ(lm.size(), item + 1u);
+    ASSERT_GE(lm.capacity(), lm.size());
+    if (lm.capacity() != last_capacity) {
+      ++reallocations;
+      last_capacity = lm.capacity();
+    }
+    ASSERT_TRUE(lm.try_acquire(item, item));
+  }
+  // ceil(log2(1e4)) + 1 = 15.
+  EXPECT_LE(reallocations, 15u);
+  for (std::uint32_t item = 0; item < kN; ++item) {
+    ASSERT_EQ(lm.owner(item), item) << "item " << item;
+  }
+  EXPECT_EQ(lm.owned_count(), kN);
+}
+
+TEST(LockManager, SlotsPastSizeStayOutOfRange) {
+  LockManager lm(0);
+  lm.grow(5);
+  lm.grow(6);  // reallocates to capacity 10
+  ASSERT_EQ(lm.size(), 6u);
+  ASSERT_GT(lm.capacity(), lm.size());
+  const auto past = static_cast<std::uint32_t>(lm.size());
+  const auto last = static_cast<std::uint32_t>(lm.capacity() - 1);
+  for (const std::uint32_t item : {past, last}) {
+    EXPECT_THROW((void)lm.try_acquire(item, 0), std::out_of_range);
+    EXPECT_THROW((void)lm.try_acquire_relaxed(item, 0), std::out_of_range);
+    EXPECT_THROW((void)lm.owner(item), std::out_of_range);
+    EXPECT_THROW(lm.release(item, 0), std::out_of_range);
+    EXPECT_THROW(lm.release_relaxed(item, 0), std::out_of_range);
+  }
+  lm.grow(past + 1);  // no reallocation: the slot comes into range free
+  EXPECT_EQ(lm.owner(past), LockManager::kFree);
+  EXPECT_TRUE(lm.all_free());
+}
+
 TEST(LockManager, ExactlyOneWinnerUnderContention) {
   LockManager lm(1);
   ThreadPool pool(4);

@@ -5,9 +5,11 @@
 #include <dirent.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/barrier.hpp"
@@ -167,6 +169,66 @@ TEST(ThreadPool, FortyThousandForkJoinsReuseResidentWorkers) {
   burst();
   EXPECT_EQ(count_threads(), threads_after_warmup);
   EXPECT_EQ(total.load(), 2u * 10000u * 6u);
+}
+
+// Sleeps every worker but worker 0 right after it observes a new job. A
+// worker that sits out a small job is then still between "observed job E"
+// and "decided whether to take part" when the next, wider job E+1 is
+// published — the window in which a pool that reads the epoch and the lane
+// count separately runs one of E+1's lanes twice.
+void delay_helpers(std::size_t worker) {
+  if (worker != 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+}
+
+struct ObserveHookGuard {
+  explicit ObserveHookGuard(detail::PoolObserveHook hook) {
+    detail::set_pool_observe_hook(hook);
+  }
+  ~ObserveHookGuard() { detail::set_pool_observe_hook(nullptr); }
+  ObserveHookGuard(const ObserveHookGuard&) = delete;
+  ObserveHookGuard& operator=(const ObserveHookGuard&) = delete;
+};
+
+// Alternates a job that leaves helper workers out with one that needs them
+// all, and checks that every index / lane of every job ran exactly once.
+void alternate_narrow_and_wide_jobs(std::size_t workers, std::size_t narrow,
+                                    std::size_t wide) {
+  constexpr int kRounds = 100;
+  // Counters outlive every job, so a stray late lane shows up as a count
+  // rather than as a write to a dead stack frame.
+  std::vector<std::atomic<int>> narrow_runs(kRounds * narrow);
+  std::vector<std::atomic<int>> wide_runs(kRounds * wide);
+  {
+    ThreadPool pool(workers);
+    const ObserveHookGuard hook(&delay_helpers);
+    for (int round = 0; round < kRounds; ++round) {
+      std::atomic<int>* n = &narrow_runs[round * narrow];
+      std::atomic<int>* w = &wide_runs[round * wide];
+      pool.parallel_for(narrow, [n](std::size_t i) { n[i].fetch_add(1); });
+      pool.run_on_workers(wide,
+                          [w](std::size_t lane) { w[lane].fetch_add(1); });
+    }
+  }  // joins the workers: nothing can still be running a lane
+  for (std::size_t i = 0; i < narrow_runs.size(); ++i) {
+    ASSERT_EQ(narrow_runs[i].load(), 1) << "parallel_for index " << i;
+  }
+  for (std::size_t i = 0; i < wide_runs.size(); ++i) {
+    ASSERT_EQ(wide_runs[i].load(), 1) << "run_on_workers lane " << i;
+  }
+}
+
+TEST(ThreadPool, WorkerSittingOutAJobNeverRunsTheNextJobsLaneTwice) {
+  // parallel_for(3) on two workers uses one worker lane; run_on_workers(3)
+  // uses both.
+  alternate_narrow_and_wide_jobs(2, 3, 3);
+  // parallel_for(2) on four workers uses one worker lane; run_on_workers(5)
+  // uses all four.
+  alternate_narrow_and_wide_jobs(4, 2, 5);
+}
+
+TEST(ThreadPool, RejectsMoreWorkersThanTheJobWordCanCount) {
+  // Throws before spawning anything.
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxWorkers + 1), std::invalid_argument);
 }
 
 TEST(SpinBarrier, SynchronizesPhases) {
