@@ -180,32 +180,6 @@ void BM_SpecExecutorRoundTelemetry(benchmark::State& state) {
 }
 BENCHMARK(BM_SpecExecutorRoundTelemetry)->Arg(16)->Arg(256)->Arg(2048);
 
-// Forced two-lane rounds with the overlapped draw on: round t+1's draw +
-// conflict pre-check runs during round t's commit epilogue. Reports
-// `pipeline_occupancy` — the fraction of epilogue wall time covered by
-// the overlapped draw stage (1.0 = the prefetch is fully hidden).
-void BM_PipelinedRound(benchmark::State& state) {
-  const auto m = static_cast<std::uint32_t>(state.range(0));
-  ThreadPool pool(2);
-  SpeculativeExecutor ex(
-      pool, 4096,
-      [](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t));
-        ctx.push(t);  // keep the worklist at steady state
-      },
-      5);
-  ex.set_pipeline({.max_lanes = 2, .overlapped_draw = true});
-  std::vector<TaskId> tasks(m);
-  for (std::uint32_t t = 0; t < m; ++t) tasks[t] = t;
-  ex.push_initial(tasks);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ex.run_round(m).committed);
-  }
-  state.SetItemsProcessed(state.iterations() * m);
-  state.counters["pipeline_occupancy"] = ex.pipeline_stats().occupancy();
-}
-BENCHMARK(BM_PipelinedRound)->Arg(256)->Arg(2048);
-
 // The branchless SIMD greedy-MIS sweep (gathered neighborhood probe, no
 // data-dependent branch) over a fixed permutation.
 void BM_GreedyMisSweep(benchmark::State& state) {

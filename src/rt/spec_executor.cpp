@@ -175,9 +175,7 @@ void SpeculativeExecutor::invalidate_schedule() {
 }
 
 std::size_t SpeculativeExecutor::pending() const {
-  // The overlapped-draw buffer is logically still the work-set: tasks in
-  // it were drawn for round t+1 but not yet launched.
-  return deferred_.size() + prefetched_.size() + sched_->size();
+  return deferred_.size() + sched_->size();
 }
 
 IterationContext* SpeculativeExecutor::context_of(std::uint32_t iter_id) {
@@ -447,59 +445,6 @@ void SpeculativeExecutor::salvage_round(
   requeue_tasks(salvage_requeue);
 }
 
-void SpeculativeExecutor::drain_prefetch() {
-  if (prefetched_.empty()) return;
-  requeue_tasks(prefetched_);
-  prefetched_.clear();
-}
-
-void SpeculativeExecutor::overlap_prefetch(std::size_t lane, std::uint32_t m,
-                                           telemetry::LaneTelemetry* tlane) {
-  const std::uint64_t t0 = phase_ticks();
-  telemetry::SpanBuffer* const sbuf =
-      tlane != nullptr ? tlane->spans : nullptr;
-  const std::uint64_t w0 = sbuf != nullptr ? monotonic_ns() : 0;
-  // Availability FLOOR: every one of this round's draws already happened
-  // (the round barrier is behind us), and concurrent epilogue splices only
-  // ADD tasks — so drawing `want` tasks can never block on an empty
-  // work-set. Overlap only runs on the distributed (random) backend, so
-  // size() counts exactly the sharded work-set.
-  const std::size_t avail = sched_->size();
-  const std::size_t want = std::min<std::size_t>(m, avail);
-  if (want == 0) return;
-  Rng& rng = helper_rngs_[lane - 1];
-  prefetched_.resize(want);
-  for (std::size_t i = 0; i < want; ++i) {
-    prefetched_[i] = sched_->draw_one(lane, rng);
-  }
-  // Read-only conflict pre-check against the live lock table. The commit
-  // fence is per-item: LockManager::owner's acquire load pairs with the
-  // release store of each concurrent lock release — exactly the writes
-  // the pre-check reads, no full barrier. A verdict may be stale by the
-  // time the task runs; it only ORDERS the next round's draw (likely-
-  // clean tasks first, flagged tasks demoted to the tail), never gates
-  // execution — so staleness is harmless.
-  const auto clean = [this](TaskId task) {
-    if (precheck_fn_) return precheck_fn_(task, locks_);
-    return task >= locks_.size() ||
-           locks_.owner(static_cast<std::uint32_t>(task)) ==
-               LockManager::kFree;
-  };
-  const auto mid =
-      std::partition(prefetched_.begin(), prefetched_.end(), clean);
-  pipe_stats_.overlapped_rounds += 1;
-  pipe_stats_.prefetched_tasks += want;
-  pipe_stats_.precheck_flagged +=
-      static_cast<std::uint64_t>(prefetched_.end() - mid);
-  const std::uint64_t dt = phase_ticks_to_ns(phase_ticks() - t0);
-  pipe_stats_.overlap_ns += dt;
-  if (tlane != nullptr) tlane->precheck_ns += dt;
-  if (sbuf != nullptr) {
-    sbuf->push({"precheck", static_cast<std::uint32_t>(lane) + 1, w0,
-                monotonic_ns(), round_index_, want, false, {}});
-  }
-}
-
 template <bool kSerial>
 void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
                                      SpinBarrier* barrier) {
@@ -562,13 +507,7 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
       std::uint64_t span_t = spanned ? monotonic_ns() : 0;
       if (timed) phase_t = phase_ticks();
       if (!plan.centralized) {
-        // Draw the chunk through the scheduler. Slots below
-        // plan.prefilled were already drawn by the previous round's
-        // overlapped prefetch — skip straight past them.
-        const std::size_t slot = std::max(begin, plan.prefilled);
-        if (slot < end) {
-          sched_->draw_span(lane, rng, active_.data() + slot, end - slot);
-        }
+        sched_->draw_span(lane, rng, active_.data() + begin, end - begin);
         if (timed) {
           const std::uint64_t now = phase_ticks();
           draw_ticks += now - phase_t;
@@ -731,20 +670,8 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
   try {
     auto& requeue = lane_requeue_[lane].value;
     std::uint32_t committed = 0;
-    const bool track_commit = lane == 0 && plan.overlap;
-    const std::uint64_t commit_t0 =
-        (tlane != nullptr || track_commit) ? phase_ticks() : 0;
+    const std::uint64_t commit_t0 = tlane != nullptr ? phase_ticks() : 0;
     const std::uint64_t commit_w0 = sbuf != nullptr ? monotonic_ns() : 0;
-    // Software pipeline (DESIGN.md §12): while the other lanes run the
-    // commit epilogue for round t, the LAST lane draws and pre-checks
-    // round t+1 into the double buffer (prefetched_). The buffer is
-    // published to the caller by the fork-join join; no lane reads it
-    // before the next run_round.
-    if constexpr (!kSerial) {
-      if (plan.overlap && lane + 1 == plan.lanes) {
-        overlap_prefetch(lane, plan.m, tlane);
-      }
-    }
     for (;;) {
       std::size_t begin;
       if constexpr (kSerial) {
@@ -787,13 +714,8 @@ void SpeculativeExecutor::round_lane(std::size_t lane, const RoundPlan& plan,
       sched_->splice(lane, requeue);
       requeue.clear();  // spliced; salvage treats leftovers as unspliced
     }
-    if (tlane != nullptr || track_commit) {
-      const std::uint64_t commit_ns =
-          phase_ticks_to_ns(phase_ticks() - commit_t0);
-      if (tlane != nullptr) tlane->commit_ns += commit_ns;
-      // Occupancy denominator: lane 0's epilogue wall time. Distinct
-      // scalar from the prefetch lane's overlap_ns — no write race.
-      if (track_commit) pipe_stats_.commit_ns += commit_ns;
+    if (tlane != nullptr) {
+      tlane->commit_ns += phase_ticks_to_ns(phase_ticks() - commit_t0);
     }
     if (sbuf != nullptr) {
       sbuf->push({"commit", span_tid, commit_w0, monotonic_ns(),
@@ -822,41 +744,17 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
       injector_ != nullptr ? injector_->total_fired() : 0;
   const bool centralized = sched_->centralized();
   round_hardened_ = injector_ != nullptr || policy_.has_value();
-  // Hardened, degraded, and centralized rounds never consume an overlapped
-  // draw: salvage accounts for every ticket through kNoTask sentinels
-  // (which a pre-filled prefix would defeat), and centralized backends
-  // re-evaluate their draw order at round start. Return the buffer to the
-  // work-set first — through the scheduler interface, so no backend can
-  // leak prefetched tasks.
-  if (!prefetched_.empty() &&
-      (round_hardened_ || serial_fallback_ || centralized)) {
-    drain_prefetch();
-  }
   std::size_t take = 0;
-  std::size_t prefilled = 0;
   if (centralized) {
     // Centralized backends materialize the active set up front: the heap /
     // color class / relaxed draw IS the policy.
     take = sched_->begin_round(m, active_, rng_);
   } else {
-    const std::size_t available = prefetched_.size() + sched_->size();
-    take = std::min<std::size_t>(m, available);
+    take = std::min<std::size_t>(m, sched_->size());
     active_.resize(take);  // slots are filled by the drawing lanes
     if (round_hardened_) {
       // Salvage after a lane death must know which tickets were redeemed.
       std::fill_n(active_.begin(), take, kNoTask);
-    }
-    if (!prefetched_.empty()) {
-      // Splice the overlapped draw from the previous round's epilogue into
-      // the leading slots (pre-check ordered them likely-clean first). Any
-      // surplus — the controller shrank m — flows back to the work-set.
-      prefilled = std::min(take, prefetched_.size());
-      std::copy_n(prefetched_.begin(), prefilled, active_.begin());
-      if (prefilled < prefetched_.size()) {
-        requeue_tasks(
-            std::span<const TaskId>(prefetched_).subspan(prefilled));
-      }
-      prefetched_.clear();
     }
   }
   stats.launched = static_cast<std::uint32_t>(take);
@@ -926,15 +824,10 @@ RoundStats SpeculativeExecutor::run_round(std::uint32_t m) {
 
   RoundPlan plan;
   plan.take = take;
-  plan.prefilled = prefilled;
   plan.chunk = draw_chunk(take, lanes);
-  plan.lanes = lanes;
-  plan.m = m;
   plan.centralized = centralized;
   plan.absorbing = absorbing;
   plan.inject_lane_faults = inject_lane_faults;
-  plan.overlap = pipeline_.overlapped_draw && lanes > 1 && !centralized &&
-                 !round_hardened_;
 
   if (lanes == 1 && pipeline_.single_lane_fast_path) {
     // Deterministic fast path: identical claim order to a one-lane pool
@@ -1106,10 +999,8 @@ void SpeculativeExecutor::save_state(snapshot::Writer& out) const {
   write_rng(out, rng_);
   for (const Rng& rng : helper_rngs_) write_rng(out, rng);
 
-  // Backend-owned work-set (DESIGN.md §14). The overlapped-draw buffer is
-  // handed over so a snapshot taken between a prefetch and its round folds
-  // those drawn-but-not-launched tasks back into pending work.
-  sched_->save_state(out, prefetched_);
+  // Backend-owned work-set (DESIGN.md §14).
+  sched_->save_state(out);
 
   out.u64(round_index_);
   out.u32(next_iteration_id_);
@@ -1147,8 +1038,6 @@ void SpeculativeExecutor::save_state(snapshot::Writer& out) const {
 }
 
 void SpeculativeExecutor::load_state(snapshot::Reader& in) {
-  // The snapshot already folded any overlapped draw back into shard 0.
-  prefetched_.clear();
   if (in.u64() != backoff_seed_) state_mismatch("seed differs");
   if (in.u64() != shard_count_) state_mismatch("shard count differs");
   if (in.u8() != static_cast<std::uint8_t>(policy_wl_)) {

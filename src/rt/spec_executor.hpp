@@ -210,7 +210,7 @@ struct RoundOptions {
   std::size_t relaxed_queues_per_lane = 4;
 };
 
-/// Software-pipelined round execution knobs (DESIGN.md §12).
+/// Round execution knobs (DESIGN.md §12).
 struct PipelineConfig {
   /// Upper bound on concurrent lanes per round. 0 (the default) caps at
   /// the host's effective concurrency: a lane that cannot physically run
@@ -219,30 +219,10 @@ struct PipelineConfig {
   /// cross-lane interleavings (barriers inside operators, injected lane
   /// deaths) set an explicit lane count to force concurrency back on.
   std::size_t max_lanes = 0;
-  /// Overlap round t+1's random draw and conflict pre-check with round
-  /// t's commit epilogue (multi-lane rounds only): the last lane runs the
-  /// double-buffered draw stage while the other lanes commit.
-  bool overlapped_draw = true;
   /// Use the CAS-free single-lane specialization whenever a round runs on
   /// one lane. The schedule is byte-identical either way; disabling it
   /// exists for the fast-vs-generic differential tests.
   bool single_lane_fast_path = true;
-};
-
-/// Occupancy accounting for the overlapped draw stage (cumulative).
-struct PipelineStats {
-  std::uint64_t overlapped_rounds = 0;  ///< rounds that ran a prefetch
-  std::uint64_t prefetched_tasks = 0;   ///< tasks drawn ahead of their round
-  std::uint64_t precheck_flagged = 0;   ///< prefetched tasks probed busy
-  std::uint64_t overlap_ns = 0;  ///< wall time of the draw+precheck stage
-  std::uint64_t commit_ns = 0;   ///< lane-0 commit wall during overlap
-  /// Fraction of commit time with an active overlapped draw, in [0, 1].
-  [[nodiscard]] double occupancy() const noexcept {
-    if (commit_ns == 0) return 0.0;
-    const double f = static_cast<double>(overlap_ns) /
-                     static_cast<double>(commit_ns);
-    return f > 1.0 ? 1.0 : f;
-  }
 };
 
 class SpeculativeExecutor {
@@ -305,29 +285,13 @@ class SpeculativeExecutor {
     return policy_;
   }
 
-  /// Configure the pipelined round execution (DESIGN.md §12). Call
-  /// between rounds only.
+  /// Configure the round execution (DESIGN.md §12). Call between rounds
+  /// only.
   void set_pipeline(const PipelineConfig& config) noexcept {
     pipeline_ = config;
   }
   [[nodiscard]] const PipelineConfig& pipeline() const noexcept {
     return pipeline_;
-  }
-  [[nodiscard]] const PipelineStats& pipeline_stats() const noexcept {
-    return pipe_stats_;
-  }
-
-  /// Override the overlapped-draw conflict pre-check (DESIGN.md §12). The
-  /// function sees a prefetched task and the live lock table and returns
-  /// true when the task looks runnable; flagged tasks are demoted to the
-  /// tail of the next round's draw. It must be READ-ONLY (LockManager::
-  /// owner probes at most) and tolerate stale answers — the pre-check is
-  /// an ordering hint, never a correctness gate. Default: probe the
-  /// task's own item (task id == item id, the common app convention).
-  /// Call between rounds only; an empty function restores the default.
-  void set_precheck_function(
-      std::function<bool(TaskId, const LockManager&)> fn) {
-    precheck_fn_ = std::move(fn);
   }
 
   /// Attach a deterministic fault injector (non-owning; nullptr detaches).
@@ -446,15 +410,11 @@ class SpeculativeExecutor {
   /// Everything a round lane needs that is fixed before dispatch. One
   /// instance per round, shared read-only by all lanes.
   struct RoundPlan {
-    std::size_t take = 0;       ///< tickets (slots) this round
-    std::size_t prefilled = 0;  ///< slots pre-filled by the overlapped draw
-    std::size_t chunk = 0;      ///< ticket-claim chunk size
-    std::size_t lanes = 0;
-    std::uint32_t m = 0;        ///< requested allocation (prefetch sizing)
-    bool centralized = false;   ///< active set materialized by begin_round
+    std::size_t take = 0;      ///< tickets (slots) this round
+    std::size_t chunk = 0;     ///< ticket-claim chunk size
+    bool centralized = false;  ///< active set materialized by begin_round
     bool absorbing = false;
     bool inject_lane_faults = false;
-    bool overlap = false;  ///< run the overlapped draw in this epilogue
   };
 
   /// The round body one lane executes: chunked draw + speculative
@@ -467,15 +427,6 @@ class SpeculativeExecutor {
   template <bool kSerial>
   void round_lane(std::size_t lane, const RoundPlan& plan,
                   SpinBarrier* barrier);
-
-  /// Software-pipelined draw stage (DESIGN.md §12): called by the last
-  /// lane at the top of its epilogue, so round t+1's draw + conflict
-  /// pre-check overlap round t's commit on the other lanes.
-  void overlap_prefetch(std::size_t lane, std::uint32_t m,
-                        telemetry::LaneTelemetry* tlane);
-  /// Return the overlapped-draw buffer to the work-set (round shapes that
-  /// cannot consume it: hardened or degraded rounds).
-  void drain_prefetch();
 
   ThreadPool& pool_;
   LockManager locks_;
@@ -534,19 +485,7 @@ class SpeculativeExecutor {
   // installed), so salvage can tell drawn slots from never-drawn ones.
   bool round_hardened_ = false;
 
-  // --- software pipelining (DESIGN.md §12) -------------------------------
-  // prefetched_ is the double buffer of the draw stage: filled by the last
-  // lane of round t's epilogue, consumed at the head of round t+1's active
-  // set (publication via the fork-join join). Its tasks are out of their
-  // shards but still pending; save_state serializes them back into the
-  // work-set so a crash between an overlapped draw and its commit replays
-  // the draw. pipe_stats_ members are written by two different lanes
-  // (overlap_* by the prefetch lane, commit_ns by lane 0) — distinct
-  // scalars, so there is no data race.
-  PipelineConfig pipeline_;
-  std::function<bool(TaskId, const LockManager&)> precheck_fn_;
-  std::vector<TaskId> prefetched_;
-  PipelineStats pipe_stats_;
+  PipelineConfig pipeline_;  // DESIGN.md §12
 
   // --- telemetry (DESIGN.md §10) -----------------------------------------
   // Non-owning; nullptr = detached (the default). slot_lane_ stamps which

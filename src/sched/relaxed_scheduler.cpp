@@ -147,11 +147,7 @@ std::size_t RelaxedScheduler::begin_round(std::size_t m,
   return take;
 }
 
-void RelaxedScheduler::save_state(snapshot::Writer& out,
-                                  std::span<const TaskId> prefetched) const {
-  // Centralized backends never see the overlapped-draw buffer.
-  assert(prefetched.empty());
-  (void)prefetched;
+void RelaxedScheduler::save_state(snapshot::Writer& out) const {
   out.u64(nqueues_);
   out.u64(push_counter_.load(std::memory_order_relaxed));
   // Raw heap-layout array order, restored verbatim: a valid std heap stays

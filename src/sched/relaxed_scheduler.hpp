@@ -37,8 +37,7 @@ class RelaxedScheduler final : public Scheduler {
   std::size_t begin_round(std::size_t m, std::vector<TaskId>& active,
                           Rng& rng) override;
 
-  void save_state(snapshot::Writer& out,
-                  std::span<const TaskId> prefetched) const override;
+  void save_state(snapshot::Writer& out) const override;
   void load_state(snapshot::Reader& in) override;
 
  private:

@@ -38,10 +38,6 @@ void Scheduler::draw_span(std::size_t /*lane*/, Rng& /*rng*/, TaskId* /*out*/,
   throw std::logic_error("Scheduler: draw_span on a centralized backend");
 }
 
-TaskId Scheduler::draw_one(std::size_t /*lane*/, Rng& /*rng*/) {
-  throw std::logic_error("Scheduler: draw_one on a centralized backend");
-}
-
 std::unique_ptr<Scheduler> make_scheduler(Backend backend,
                                           const SchedulerConfig& config) {
   switch (backend) {

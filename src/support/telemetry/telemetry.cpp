@@ -258,7 +258,6 @@ void RuntimeTelemetry::export_metrics(MetricsRegistry& reg) const {
     add_phase_seconds(reg, l, "rollback", lane.rollback_ns);
     add_phase_seconds(reg, l, "commit", lane.commit_ns);
     add_phase_seconds(reg, l, "arbitrate", lane.arb_wait_ns);
-    add_phase_seconds(reg, l, "precheck", lane.precheck_ns);
   }
 
   const TelemetryTotals t = totals();

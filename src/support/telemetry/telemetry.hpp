@@ -194,7 +194,6 @@ struct alignas(kCacheLine) LaneTelemetry {
   std::uint64_t rollback_ns = 0;  ///< undo-log unwinds (subset of exec wall)
   std::uint64_t commit_ns = 0;    ///< epilogue: publish, requeue, release
   std::uint64_t arb_wait_ns = 0;  ///< priority-wins spin-waiting
-  std::uint64_t precheck_ns = 0;  ///< pipelined draw + conflict pre-check
 
   WorkHistogram work;  ///< items held per executed task
 

@@ -1,4 +1,4 @@
-// Pipelined-executor determinism (DESIGN.md §12). Three contracts:
+// Round-executor determinism (DESIGN.md §12). Three contracts:
 //  * the single-lane fast path (plain cursors, no barrier, relaxed lock
 //    ops) replays the generic barriered path byte-for-byte — same round
 //    stats, same shared state, same snapshot bytes (rng streams, shard
@@ -6,8 +6,7 @@
 //  * forcing max_lanes = 1 makes an oversubscribed pool fully
 //    deterministic (the lane auto-cap is the paper's processor-allocation
 //    argument applied to the runtime itself);
-//  * the overlapped multi-lane pipeline keeps the exactly-once commit
-//    oracle and reports coherent pipeline statistics.
+//  * two-lane rounds keep the exactly-once commit oracle.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -110,62 +109,9 @@ TEST(PipelineGolden, LaneCapPinsOversubscribedPoolToTheGoldenTrace) {
   EXPECT_EQ(fast.cells, oracle_cells());
 }
 
-TEST(PipelineGolden, OverlappedPipelineKeepsExactlyOnceCommits) {
-  const GoldenRun piped = run_workload(
-      2, {.max_lanes = 2, .overlapped_draw = true});
-  EXPECT_EQ(piped.cells, oracle_cells());
-}
-
-TEST(PipelineGolden, PipelineStatsAreCoherent) {
-  ThreadPool pool(2);
-  std::vector<std::int64_t> cells(kCells, 0);
-  SpeculativeExecutor ex(
-      pool, kCells,
-      [&cells](TaskId t, IterationContext& ctx) {
-        const auto a = static_cast<std::uint32_t>(t % kCells);
-        ctx.acquire(a);
-        cells[a] += 1;
-        ctx.on_abort([&cells, a] { cells[a] -= 1; });
-      },
-      7);
-  ex.set_pipeline({.max_lanes = 2, .overlapped_draw = true});
-  std::vector<TaskId> tasks(kTasks);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
-  int guard = 0;
-  while (!ex.done() && guard++ < 10000) (void)ex.run_round(24);
-  ASSERT_TRUE(ex.done());
-  const PipelineStats& ps = ex.pipeline_stats();
-  EXPECT_GT(ps.overlapped_rounds, 0u);
-  EXPECT_GT(ps.prefetched_tasks, 0u);
-  EXPECT_LE(ps.precheck_flagged, ps.prefetched_tasks);
-  EXPECT_GE(ps.occupancy(), 0.0);
-  EXPECT_LE(ps.occupancy(), 1.0);
-}
-
-TEST(PipelineGolden, CustomPrecheckOrdersTheOverlappedDraw) {
-  ThreadPool pool(2);
-  SpeculativeExecutor ex(
-      pool, kCells,
-      [](TaskId t, IterationContext& ctx) {
-        ctx.acquire(static_cast<std::uint32_t>(t % kCells));
-      },
-      11);
-  ex.set_pipeline({.max_lanes = 2, .overlapped_draw = true});
-  // Flag everything: a pre-check verdict is an ordering hint, never a
-  // gate, so the run must still retire every task.
-  ex.set_precheck_function(
-      [](TaskId, const LockManager&) { return false; });
-  std::vector<TaskId> tasks(kTasks);
-  std::iota(tasks.begin(), tasks.end(), TaskId{0});
-  ex.push_initial(tasks);
-  int guard = 0;
-  while (!ex.done() && guard++ < 10000) (void)ex.run_round(24);
-  ASSERT_TRUE(ex.done());
-  EXPECT_EQ(ex.totals().committed, kTasks);
-  const PipelineStats& ps = ex.pipeline_stats();
-  EXPECT_EQ(ps.precheck_flagged, ps.prefetched_tasks);
-  EXPECT_GT(ps.prefetched_tasks, 0u);
+TEST(PipelineGolden, TwoLaneRoundsKeepExactlyOnceCommits) {
+  const GoldenRun two_lane = run_workload(2, {.max_lanes = 2});
+  EXPECT_EQ(two_lane.cells, oracle_cells());
 }
 
 }  // namespace

@@ -59,6 +59,7 @@
 // scripts/check_trace.py.
 #include <sys/stat.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -733,7 +734,8 @@ CrashPoint parse_crash_point(const std::string& name) {
 /// `run --app=<name>`: one of the seven application kernels end to end —
 /// generated input, adaptive speculative run on the chosen backend, and an
 /// ALWAYS-ON independent result certificate (verify/harness.hpp). One
-/// machine-parsable APPRUN summary line; a refuted certificate exits 8.
+/// machine-parsable APPRUN summary line, ending with the wall time of the
+/// certified run (`wall_s`); a refuted certificate exits 8.
 int cmd_run_app(const Options& opt) {
   const std::string name = opt.get("app", "");
   const auto app = verify::parse_app(name);
@@ -760,8 +762,11 @@ int cmd_run_app(const Options& opt) {
   if (telemetry_requested(opt)) options.telemetry = &tel;
 
   ThreadPool pool(static_cast<std::size_t>(opt.get_int("threads", 4)));
+  const auto start = std::chrono::steady_clock::now();
   const verify::AppRunReport report =
       verify::run_app_certified(*app, pool, options);
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - start;
 
   if (opt.has("metrics-out")) {
     MetricsRegistry reg;
@@ -785,7 +790,7 @@ int cmd_run_app(const Options& opt) {
             << " answer=" << report.answer
             << " checked=" << cert.checked << " certified="
             << (cert.ok() ? "ok" : verify::cert_code_name(cert.code))
-            << "\n";
+            << " wall_s=" << wall.count() << "\n";
   if (!cert.ok()) {
     std::cerr << "certification failed: " << cert.describe() << "\n";
     return kExitCertification;
